@@ -1,8 +1,9 @@
 // Micro-benchmarks (google-benchmark): throughput of the hot components —
 // the patch-stitching solver (batch and incremental), the per-arrival repack
 // loop of Algorithm 2 (from-scratch vs. StitchSession), adaptive frame
-// partitioning, GMM background subtraction, the event queue, and the latency
-// estimator lookup.
+// partitioning, GMM background subtraction, the event queue, the latency
+// estimator lookup, and the platform's completion + backlog drain under
+// saturation.
 
 #include <benchmark/benchmark.h>
 
@@ -336,6 +337,47 @@ void BM_DispatchPath(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * patches_per_window);
 }
 BENCHMARK(BM_DispatchPath)->Arg(16)->Arg(64);
+
+// Platform completion under a saturated backlog.  A closed loop holds the
+// backlog at range(0) requests on 8 instances (every completion resubmits
+// one request to its own pool), and each iteration runs one completion
+// event: release the instance, run the callback, drain the backlog.  With
+// range(1) == 3 the backlog is split over the default pool, an uncapped
+// pool and a pool whose burst cap of 1 keeps its head blocked, so every
+// drain also passes over a blocked pool.  items/s = completions/s.
+void BM_PlatformSaturatedDrain(benchmark::State& state) {
+  const auto depth = static_cast<int>(state.range(0));
+  const auto pools = static_cast<int>(state.range(1));
+  sim::Simulator sim;
+  serverless::PlatformConfig config;
+  config.max_instances = 8;
+  config.keepalive_s = 3600.0;
+  config.telemetry_reservoir = 512;
+  if (pools == 3) config.pools = {{"open", 0, -1}, {"capped", 0, 1}};
+  serverless::FunctionPlatform platform(sim, config);
+  // Captures two words: stays inside std::function's small buffer.
+  struct Resubmit {
+    serverless::FunctionPlatform* platform;
+    int pool;
+    void operator()(const serverless::InvocationRecord&) const {
+      serverless::RequestSpec spec;
+      spec.num_canvases = 1;
+      platform->invoke(spec, pool, Resubmit{*this});
+    }
+  };
+  serverless::RequestSpec spec;
+  spec.num_canvases = 1;
+  for (int i = 0; i < depth + config.max_instances; ++i)
+    platform.invoke(spec, i % pools, Resubmit{&platform, i % pools});
+  for (auto _ : state) sim.step();
+  state.counters["backlog"] = static_cast<double>(platform.queued_requests());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PlatformSaturatedDrain)
+    ->Args({1000, 1})
+    ->Args({10000, 1})
+    ->Args({1000, 3})
+    ->Args({10000, 3});
 
 }  // namespace
 

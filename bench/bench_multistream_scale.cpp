@@ -40,9 +40,14 @@
 // runs on a ParallelSweepRunner worker pool (--jobs N; 0 = one worker per
 // hardware thread) with results bit-identical to --jobs 1.  Part 1 adds a
 // city-scale axis (256 -> 10000 streams, hashed shards, bounded telemetry
-// reservoirs); each point reports wall-clock ms and the process peak-RSS
-// high-water mark after the cell (VmHWM — monotone across cells, so within
-// one run it only identifies which cell first pushed the peak).
+// reservoirs) in two legs, each point labelled with the regime it measures:
+// an "overload" leg on the default 64 instances at 1024 streams and up (a
+// saturated platform with a deep backlog — the witness for bounded
+// per-completion work) and a "load-proportional" leg with one instance per
+// 4 streams, where the miss rate stays in the paper's regime.  Each point
+// reports wall-clock ms and the process peak-RSS high-water mark after the
+// cell (VmHWM — monotone across cells, so within one run it only identifies
+// which cell first pushed the peak).
 
 #include <cstdint>
 #include <cstdlib>
@@ -82,6 +87,9 @@ std::vector<double> stream_slos(std::size_t n) {
 // human tables.
 struct SweepPoint {
   std::string layout;  // "single" | "hashed<K>" (the city axis)
+  // "scaling" (1..64 series) | "overload" | "load-proportional" (city legs)
+  std::string regime;
+  int instances = 0;  // platform max_instances
   std::size_t streams = 0;
   std::size_t shards = 0;
   std::size_t patches = 0;
@@ -178,8 +186,9 @@ void write_json(const std::string& path, const std::vector<SweepPoint>& sweep,
   out << "{\n  \"benchmark\": \"multistream_scale\",\n  \"sweep\": [\n";
   for (std::size_t i = 0; i < sweep.size(); ++i) {
     const SweepPoint& p = sweep[i];
-    out << "    {\"layout\": \"" << p.layout
-        << "\", \"streams\": " << p.streams << ", \"shards\": " << p.shards
+    out << "    {\"layout\": \"" << p.layout << "\", \"regime\": \""
+        << p.regime << "\", \"instances\": " << p.instances
+        << ", \"streams\": " << p.streams << ", \"shards\": " << p.shards
         << ", \"patches\": " << p.patches << ", \"wall_ms\": " << p.wall_ms
         << ", \"peak_rss_kb\": " << p.peak_rss_kb << ", \"jobs\": " << p.jobs
         << ", \"events\": " << p.events
@@ -304,25 +313,41 @@ int main(int argc, char** argv) {
   std::cout << "=== Multi-stream scale-out: 1 -> " << max_streams
             << " streams, one shared TangramSystem per cell, --jobs "
             << resolved_jobs << " ===\n";
-  common::Table table({"Streams", "Layout", "Shards", "Patches",
-                       "Wall (ms)", "Peak RSS (MB)", "Patches/s (wall)",
-                       "q2i p50 (s)", "q2i p99 (s)", "SLO miss (%)",
-                       "Batches", "Cost ($)"});
+  common::Table table({"Streams", "Layout", "Regime", "Instances", "Shards",
+                       "Patches", "Wall (ms)", "Peak RSS (MB)",
+                       "Patches/s (wall)", "q2i p50 (s)", "q2i p99 (s)",
+                       "SLO miss (%)", "Batches", "Cost ($)"});
 
   // The sweep grid: the comparable 1..64 single-shard series first, then the
   // city axis on hashed shards with bounded (512-sample) telemetry
-  // reservoirs so per-sim memory stays fixed as streams grow.
+  // reservoirs so per-sim memory stays fixed as streams grow.  The city
+  // axis has two legs: "load-proportional" scales the fleet with the
+  // streams; "overload" keeps the default 64 instances wherever that is
+  // below the proportional fleet (a saturated platform whose backlog grows
+  // with the stream count).
   struct SweepSpec {
     std::size_t streams;
     const char* layout;
+    const char* regime;
+    int instances;
   };
+  const int default_instances = serverless::PlatformConfig{}.max_instances;
   std::vector<SweepSpec> specs;
   for (const std::size_t n : {1u, 2u, 4u, 8u, 16u, 32u, 64u})
-    specs.push_back({n, "single"});
+    specs.push_back({n, "single", "scaling", default_instances});
   constexpr int kCityShards = 8;
   constexpr std::size_t kCityReservoir = 512;
-  for (const std::size_t n : {256u, 1024u, 4096u, 10000u})
-    if (n <= max_streams) specs.push_back({n, "hashed8"});
+  constexpr std::size_t kStreamsPerInstance = 4;
+  for (const char* regime : {"overload", "load-proportional"}) {
+    const bool overload = std::strcmp(regime, "overload") == 0;
+    for (const std::size_t n : {256u, 1024u, 4096u, 10000u}) {
+      const int proportional = static_cast<int>(n / kStreamsPerInstance);
+      if (n > max_streams || (overload && proportional <= default_instances))
+        continue;
+      specs.push_back({n, "hashed8", regime,
+                       overload ? default_instances : proportional});
+    }
+  }
 
   // All cells share one platform/canvas/slack/seed config, so the offline
   // profiling campaign runs once for the whole grid (bit-identical to
@@ -332,6 +357,7 @@ int main(int argc, char** argv) {
     experiments::MultiStreamCell cell;
     cell.cameras.assign(spec.streams, &trace);
     cell.config.per_stream_slo = stream_slos(spec.streams);
+    cell.config.platform.max_instances = spec.instances;
     if (std::strcmp(spec.layout, "single") == 0) {
       // Single shared shard: keeps this scaling series comparable with the
       // pre-pool runs; the sharding study is Part 2 below.
@@ -355,6 +381,8 @@ int main(int argc, char** argv) {
 
     SweepPoint point;
     point.layout = specs[i].layout;
+    point.regime = specs[i].regime;
+    point.instances = specs[i].instances;
     point.streams = specs[i].streams;
     point.shards = result.shards;
     point.patches = result.patches_completed;
@@ -377,8 +405,8 @@ int main(int argc, char** argv) {
     sweep.push_back(point);
 
     table.add_row(
-        {std::to_string(point.streams), point.layout,
-         std::to_string(result.shards),
+        {std::to_string(point.streams), point.layout, point.regime,
+         std::to_string(point.instances), std::to_string(result.shards),
          std::to_string(result.patches_completed),
          common::Table::num(point.wall_ms, 1),
          point.peak_rss_kb >= 0

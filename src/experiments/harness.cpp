@@ -1,9 +1,11 @@
 #include "experiments/harness.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <map>
 #include <memory>
 #include <stdexcept>
+#include <type_traits>
 
 #include "net/link.h"
 #include "serverless/forecast.h"
@@ -322,20 +324,33 @@ MultiStreamResult run_multistream(const std::vector<const SceneTrace*>& cameras,
                                static_cast<double>(i) * frame_interval;
         const FrameRecord& frame = trace.eval_frame(i);
         for (std::size_t p = 0; p < frame.patches.size(); ++p) {
-          core::Patch patch;
-          patch.id = next_patch_id++;
-          patch.camera_id = static_cast<int>(cam);
-          patch.frame_index = frame.frame_index;
-          patch.region = frame.patches[p];
-          patch.generation_time = capture;
-          patch.bytes = frame.patch_bytes[p];
-          // Non-drifting runs leave patch.slo alone — the system stamps the
-          // stream's registered class exactly as before.
-          if (drifting) patch.slo = patch_slo(cam, capture);
+          const std::uint64_t id = next_patch_id++;
+          // Non-drifting runs leave patch.slo at its default — the system
+          // stamps the stream's registered class exactly as before.
+          const double slo =
+              drifting ? patch_slo(cam, capture) : core::Patch{}.slo;
           ++result.patches_sent;
-          links[cam]->send(patch.bytes, [&, cam, patch] {
-            system.receive_patch(streams[cam], patch);
-          });
+          // The delivery callback captures only what rebuilding the patch
+          // needs (the frame lives in the trace for the whole run): a
+          // captured Patch would overflow the simulator's 64-byte inline
+          // callback buffer and cost one heap allocation per patch.
+          auto deliver = [sys = &system, f = &frame, id, capture, slo,
+                          stream = streams[cam], camera = static_cast<int>(cam),
+                          index = static_cast<std::uint32_t>(p)] {
+            core::Patch patch;
+            patch.id = id;
+            patch.camera_id = camera;
+            patch.frame_index = f->frame_index;
+            patch.region = f->patches[index];
+            patch.generation_time = capture;
+            patch.bytes = f->patch_bytes[index];
+            patch.slo = slo;
+            sys->receive_patch(stream, patch);
+          };
+          static_assert(
+              sizeof(deliver) <= sim::detail::InlineTask::kInlineBytes &&
+              std::is_trivially_copyable_v<decltype(deliver)>);
+          links[cam]->send(frame.patch_bytes[p], deliver);
         }
         if (i + 1 < trace.eval_frame_count()) {
           const double next_capture = stream_start(cam) + phase +

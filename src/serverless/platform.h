@@ -29,14 +29,28 @@
 //
 // Queueing conventions (FIFO, no queue-jumping):
 //  * A request that cannot start — its pool is at its limit, blocked by
-//    other pools' unmet reservations, or the fleet is saturated — joins the
-//    backlog.  A request whose pool already has backlogged requests ALSO
-//    joins, even if capacity is momentarily free: an arrival at the same
-//    simulated timestamp as a completion (but sequenced before the
+//    other pools' unmet reservations, or the fleet is saturated — joins its
+//    pool's backlog.  A request whose pool already has backlogged requests
+//    ALSO joins, even if capacity is momentarily free: an arrival at the
+//    same simulated timestamp as a completion (but sequenced before the
 //    completion's drain callback) must not jump the queue ahead of older
 //    waiting requests.
-//  * The backlog drains strictly FIFO within each pool; a pool blocked at
-//    the head of the queue never blocks another pool's older requests.
+//  * Each pool's backlog is its own FIFO ring, and every backlogged request
+//    carries a platform-wide arrival sequence number.  A drain (after each
+//    completion, pre-warm boot, or autoscale tick) repeatedly takes the
+//    lowest-sequence head among the pools not yet blocked in this drain:
+//    it dispatches that head if its pool has headroom, and otherwise marks
+//    the pool blocked and moves on.  The drain ends once every non-empty
+//    pool is blocked, so its cost is O((dispatched + pools) * pools), never
+//    O(backlog).
+//  * This is exactly one arrival-ordered scan over a single shared backlog
+//    that skips the entries of pools already blocked: the merge visits the
+//    same entries in the same order and makes the same decisions.  Blocking
+//    a pool for the rest of a drain loses nothing, because headroom only
+//    falls inside a drain: a dispatch raises total in-use by one and lowers
+//    at most its own pool's unmet reservation by one, so no other pool's
+//    headroom grows.  Strict FIFO holds within each pool, and a pool
+//    blocked at its head never blocks another pool's older requests.
 //
 // Billing conventions: `execution_s` is billed GPU time only — cold-start
 // `setup_s` seconds (and cold-spike inflation) delay `start_time` but are
@@ -57,11 +71,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
 
+#include "common/fifo_ring.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "serverless/cost.h"
@@ -405,7 +419,8 @@ class FunctionPlatform {
   [[nodiscard]] const common::Sampler& cold_start_setup() const {
     return cold_start_setup_;
   }
-  [[nodiscard]] std::size_t queued_requests() const { return backlog_.size(); }
+  // Requests waiting in every pool's backlog.
+  [[nodiscard]] std::size_t queued_requests() const;
   [[nodiscard]] const common::Sampler& execution_latency() const {
     return execution_latency_;
   }
@@ -425,8 +440,9 @@ class FunctionPlatform {
   struct Pending {
     RequestSpec spec;
     Callback callback;
-    double submit_time;
-    int pool;
+    double submit_time = 0.0;
+    int pool = 0;
+    std::uint64_t seq = 0;  // platform-wide arrival order of backlogged work
   };
   struct Pool {
     std::string name;
@@ -438,7 +454,7 @@ class FunctionPlatform {
     int peak_in_use = 0;
     std::uint64_t dispatched = 0;
     std::uint64_t cold_starts = 0;
-    std::size_t backlogged = 0;  // entries of this pool inside backlog_
+    common::FifoRing<Pending> backlog;  // waiting requests, oldest first
     common::Sampler backlog_depth;
     std::vector<AutoscaleSample> series;
     // Forecast-driven provisioning state (forecast kinds only).
@@ -467,7 +483,7 @@ class FunctionPlatform {
 
   void invoke_on_pool(const RequestSpec& spec, int pool, Callback on_complete);
   // True if a request for `pool` could start immediately.  Ignores the
-  // backlog: callers must keep FIFO by checking pool.backlogged first.
+  // backlog: callers must keep FIFO by checking pool.backlog first.
   [[nodiscard]] bool pool_has_capacity(int pool) const {
     return pool_headroom(pool) > 0;
   }
@@ -483,8 +499,8 @@ class FunctionPlatform {
   // drain the backlog.  The slot is released before the callback so
   // re-entrant invokes reuse it.
   void finish_invocation(std::uint32_t slot);
-  // Dispatch backlogged requests, strictly FIFO within each pool; a pool
-  // without capacity never blocks another pool's entries.
+  // Dispatch backlogged requests: the per-pool FIFOs merged by arrival
+  // sequence (see "Queueing conventions" above).
   void drain_backlog();
   int find_idle_warm_instance();
   int find_cooled_slot() const;
@@ -517,7 +533,7 @@ class FunctionPlatform {
   common::Rng fault_rng_;
   std::vector<Instance> instances_;
   std::vector<Pool> pools_;  // pools_[0] is the default pool
-  std::deque<Pending> backlog_;
+  std::uint64_t next_seq_ = 0;       // next backlogged request's sequence
   std::vector<char> drain_scratch_;  // per-pool blocked flags during drain
   std::vector<Completion> completions_;        // slot pool (see Completion)
   std::vector<std::uint32_t> completion_free_;

@@ -4,7 +4,8 @@
 // Suite 1 counts global operator new calls around a warmed-up dispatch loop:
 // once every freelist, scratch buffer, and per-canvas free-rect vector has
 // grown to the workload's high-water mark, full admit -> pack -> invoke ->
-// complete -> recycle cycles must not allocate at all.
+// complete -> recycle cycles must not allocate at all.  The same holds for
+// the platform alone under a saturated backlog.
 //
 // Suite 2 pins byte-identity: recycling batch shells, canvases, and packing
 // scratch must not perturb a single byte of deterministic_json() output.
@@ -159,6 +160,51 @@ TEST(DispatchAlloc, RecycledStorageIsActuallyReused) {
   EXPECT_GT(f.pool->pooled_canvases(), 0u);
   EXPECT_LE(f.pool->pooled_batches(), BatchPool::kMaxPooledShells);
   EXPECT_LE(f.pool->pooled_canvases(), BatchPool::kMaxPooledCanvases);
+}
+
+// A saturated platform on its own: a closed loop keeps every pool's backlog
+// at a fixed depth (each completion resubmits one request to its pool), so
+// every completion runs invoke -> complete -> drain against a standing
+// backlog.  Three pools, one held at its burst cap of 1 so each drain also
+// passes over a blocked pool.  Once the per-pool backlog rings, completion
+// slots, event slots and telemetry reservoirs have reached their high-water
+// marks, the cycle must not allocate.
+TEST(DispatchAlloc, SaturatedPlatformDrainDoesNotAllocate) {
+  sim::Simulator sim;
+  serverless::PlatformConfig config;
+  config.max_instances = 4;
+  config.keepalive_s = 3600.0;
+  config.telemetry_reservoir = 64;
+  config.pools = {{"open", 0, -1}, {"capped", 0, 1}};
+  serverless::FunctionPlatform platform(sim, config);
+  struct Loop {
+    serverless::FunctionPlatform* platform;
+    std::uint64_t completed = 0;
+  } loop{&platform};
+  // Two words: stays inside std::function's small buffer.
+  struct Resubmit {
+    Loop* loop;
+    int pool;
+    void operator()(const serverless::InvocationRecord&) const {
+      ++loop->completed;
+      serverless::RequestSpec spec;
+      spec.num_canvases = 1;
+      loop->platform->invoke(spec, pool, Resubmit{*this});
+    }
+  };
+  serverless::RequestSpec spec;
+  spec.num_canvases = 1;
+  for (int i = 0; i < 300; ++i)
+    platform.invoke(spec, i % 3, Resubmit{&loop, i % 3});
+
+  sim.run_until(50.0);  // warm-up
+  const std::uint64_t completed_before = loop.completed;
+  const common::AllocationProbe probe;
+  sim.run_until(100.0);
+
+  EXPECT_EQ(probe.allocations(), 0u) << "saturated drain allocated";
+  EXPECT_GT(loop.completed - completed_before, 500u);
+  EXPECT_EQ(platform.queued_requests(), 300u - 4u);
 }
 
 // --- suite 2: byte-identity of the recycled-batch path -----------------------
