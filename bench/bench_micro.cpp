@@ -1,9 +1,9 @@
 // Micro-benchmarks (google-benchmark): throughput of the hot components —
 // the patch-stitching solver (batch and incremental), the per-arrival repack
 // loop of Algorithm 2 (from-scratch vs. StitchSession), adaptive frame
-// partitioning, GMM background subtraction, the event queue, the latency
-// estimator lookup, and the platform's completion + backlog drain under
-// saturation.
+// partitioning, GMM background subtraction, blob extraction, whole
+// scene-trace synthesis, the event queue, the latency estimator lookup, and
+// the platform's completion + backlog drain under saturation.
 
 #include <benchmark/benchmark.h>
 
@@ -19,10 +19,12 @@
 #include "core/invoker.h"
 #include "core/partitioner.h"
 #include "core/stitcher.h"
+#include "experiments/trace.h"
 #include "serverless/platform.h"
 #include "sim/simulator.h"
 #include "video/raster.h"
 #include "video/scene_catalog.h"
+#include "vision/components.h"
 #include "vision/gmm.h"
 
 // Global allocation tally for BM_DispatchPath's allocs_per_patch counter
@@ -145,6 +147,47 @@ void BM_GmmApply(benchmark::State& state) {
                           raster_config.analysis.area());
 }
 BENCHMARK(BM_GmmApply)->Arg(320)->Arg(480)->Arg(960);
+
+// The blob pass of GmmRoiExtractor (dilate -> label -> box merge) on real
+// foreground masks: scene 5 at the default 480x270 analysis size, taken after
+// the GMM has warmed up, through one reused workspace.
+void BM_ExtractBlobs(benchmark::State& state) {
+  const auto spec = video::panda4k_scene(5);
+  video::SyntheticScene scene(spec);
+  const video::RasterConfig raster_config;
+  video::FrameRasterizer rasterizer(spec.frame, raster_config);
+  vision::GmmBackgroundSubtractor gmm(raster_config.analysis);
+  std::vector<video::Mask> masks;
+  for (int i = 0; i < 48; ++i) {
+    auto mask = gmm.apply(rasterizer.render(scene.next_frame()));
+    if (i >= 32) masks.push_back(std::move(mask));
+  }
+  const vision::ComponentParams params;
+  vision::BlobWorkspace workspace;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    auto boxes = vision::extract_blobs(masks[i % masks.size()], params,
+                                       workspace);
+    benchmark::DoNotOptimize(boxes.data());
+    ++i;
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          raster_config.analysis.area());
+}
+BENCHMARK(BM_ExtractBlobs);
+
+// Whole scene-trace synthesis (render, GMM, blobs, partitioning, byte
+// accounting) of PANDA4K scene 5 with the default TraceConfig — the set-up
+// cost every experiment pays per scene.
+void BM_BuildTrace(benchmark::State& state) {
+  const auto spec = video::panda4k_scene(5);
+  for (auto _ : state) {
+    auto trace = experiments::build_trace(spec);
+    benchmark::DoNotOptimize(trace.frames.data());
+  }
+  state.SetItemsProcessed(state.iterations() * spec.total_frames);
+}
+BENCHMARK(BM_BuildTrace)->Unit(benchmark::kMillisecond);
 
 void BM_EventQueue(benchmark::State& state) {
   for (auto _ : state) {

@@ -171,21 +171,33 @@ RunResult run_end_to_end(const std::vector<const SceneTrace*>& cameras,
         // Clipper, MArk) consume the same Algorithm-1 patch stream; the
         // ELF-system encode (elf_patch_bytes) only enters the Fig. 9
         // bandwidth study via per_frame_cost().
+        const double slo = cam < config.per_camera_slo.size()
+                               ? config.per_camera_slo[cam]
+                               : config.slo_s;
         for (std::size_t p = 0; p < frame.patches.size(); ++p) {
           const std::size_t bytes = frame.patch_bytes[p];
           result.total_bytes += bytes;
-          core::Patch patch;
-          patch.id = next_patch_id++;
-          patch.camera_id = static_cast<int>(cam);
-          patch.frame_index = frame.frame_index;
-          patch.region = frame.patches[p];
-          patch.generation_time = capture;
-          patch.slo = cam < config.per_camera_slo.size()
-                          ? config.per_camera_slo[cam]
-                          : config.slo_s;
-          patch.bytes = bytes;
-          link_of(cam).send(bytes,
-                            [&, patch] { strategy->on_patch(patch); });
+          // As in run_multistream: capture what rebuilding the patch needs
+          // (the frame lives in the trace for the whole run), not the Patch
+          // itself, which would overflow the simulator's 64-byte inline
+          // callback buffer and cost one heap allocation per patch.
+          auto deliver = [s = strategy.get(), f = &frame, id = next_patch_id++,
+                          capture, slo, camera = static_cast<int>(cam),
+                          index = static_cast<std::uint32_t>(p)] {
+            core::Patch patch;
+            patch.id = id;
+            patch.camera_id = camera;
+            patch.frame_index = f->frame_index;
+            patch.region = f->patches[index];
+            patch.generation_time = capture;
+            patch.slo = slo;
+            patch.bytes = f->patch_bytes[index];
+            s->on_patch(patch);
+          };
+          static_assert(
+              sizeof(deliver) <= sim::detail::InlineTask::kInlineBytes &&
+              std::is_trivially_copyable_v<decltype(deliver)>);
+          link_of(cam).send(bytes, deliver);
         }
       });
     }

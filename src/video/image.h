@@ -39,6 +39,14 @@ class Image {
 
   void fill(std::uint8_t v) { std::fill(data_.begin(), data_.end(), v); }
 
+  // Become a width x height image of `fill`, reusing the storage when it is
+  // large enough (per-frame scratch images allocate once).
+  void assign(int width, int height, std::uint8_t fill) {
+    data_.assign(checked_pixel_count(width, height), fill);
+    width_ = width;
+    height_ = height;
+  }
+
   // Fill the intersection of `r` with the image.
   void fill_rect(const common::Rect& r, std::uint8_t v) {
     const common::Rect c = common::clamp_to(

@@ -78,8 +78,9 @@ Image FrameRasterizer::render(const FrameTruth& truth) {
   // Slow illumination drift + per-frame sensor noise.  Uniform noise with a
   // matched standard deviation (width = sigma * sqrt(12)) instead of a
   // Gaussian: the GMM only cares about second moments and a uniform draw is
-  // one RNG call instead of a Box-Muller pair — this loop dominates trace
-  // generation time.
+  // one RNG call instead of a Box-Muller pair.  This loop is nearly all of
+  // render()'s cost, about a quarter of trace synthesis; the GMM update is
+  // most of the rest (stage split in bench/README.md, "Trace synthesis").
   const double drift =
       config_.illum_drift *
       std::sin(2 * 3.14159265 * truth.timestamp / config_.illum_period_s);

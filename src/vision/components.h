@@ -16,7 +16,9 @@ struct ComponentParams {
   int merge_gap_px = 2;       // merge boxes whose gap is below this
 };
 
-// In-place binary dilation with a (2r+1)x(2r+1) square structuring element.
+// Binary dilation with a (2r+1)x(2r+1) square structuring element: any
+// non-zero input pixel sets its neighbourhood to 255.  Radius <= 0 returns
+// the mask unchanged.
 [[nodiscard]] video::Mask dilate(const video::Mask& mask, int radius);
 
 // 4-connected component labeling; returns each component's bounding box and
@@ -28,10 +30,23 @@ struct Component {
 [[nodiscard]] std::vector<Component> connected_components(
     const video::Mask& mask, int min_area_px);
 
+// Scratch buffers for extract_blobs.  An extractor keeps one across frames,
+// so its per-frame blob pass reuses the dilation masks and the flood-fill
+// stack instead of allocating them (only the small result vectors are new).
+struct BlobWorkspace {
+  video::Mask spans;     // horizontal dilation pass
+  video::Mask dilated;   // full dilation; labeling clears it as it goes
+  std::vector<common::Point> stack;
+  std::vector<Component> components;
+};
+
 // Full pipeline: dilate -> label -> box merge.  Returned boxes are in the
 // mask's (analysis) coordinate space.
 [[nodiscard]] std::vector<common::Rect> extract_blobs(const video::Mask& mask,
                                                       const ComponentParams&
                                                           params);
+[[nodiscard]] std::vector<common::Rect> extract_blobs(
+    const video::Mask& mask, const ComponentParams& params,
+    BlobWorkspace& workspace);
 
 }  // namespace tangram::vision

@@ -27,8 +27,8 @@ GmmRoiExtractor::GmmRoiExtractor(common::Size analysis, GmmParams gmm,
 std::vector<common::Rect> GmmRoiExtractor::extract(const FrameInput& input) {
   if (!input.analysis_frame || !input.rasterizer)
     throw std::invalid_argument("GmmRoiExtractor: pixel input required");
-  const video::Mask fg = subtractor_.apply(*input.analysis_frame);
-  const auto blobs = extract_blobs(fg, components_);
+  subtractor_.apply(*input.analysis_frame, foreground_);
+  const auto blobs = extract_blobs(foreground_, components_, workspace_);
   std::vector<common::Rect> out;
   out.reserve(blobs.size());
   for (const auto& b : blobs) out.push_back(input.rasterizer->to_native(b));
@@ -54,19 +54,19 @@ std::vector<common::Rect> OpticalFlowExtractor::extract(
 
   std::vector<common::Rect> out;
   if (has_previous_) {
-    video::Mask motion(frame.width(), frame.height(), 0);
-    for (int y = 0; y < frame.height(); ++y) {
-      for (int x = 0; x < frame.width(); ++x) {
-        const double diff =
-            std::abs(static_cast<double>(frame.at(x, y)) - previous_.at(x, y));
-        if (diff >= threshold_) motion.at(x, y) = 255;
-      }
+    motion_.assign(frame.width(), frame.height(), 0);
+    const std::uint8_t* cur = frame.data();
+    const std::uint8_t* prev = previous_.data();
+    std::uint8_t* motion = motion_.data();
+    for (std::size_t i = 0; i < frame.pixel_count(); ++i) {
+      const double diff = std::abs(static_cast<double>(cur[i]) - prev[i]);
+      if (diff >= threshold_) motion[i] = 255;
     }
     // Flow maps bleed around moving objects; a slightly larger dilation than
     // GMM models that (and is why flow costs more bandwidth in Table IV).
     ComponentParams p = components_;
     p.dilate_radius = components_.dilate_radius + 1;
-    for (const auto& b : extract_blobs(motion, p))
+    for (const auto& b : extract_blobs(motion_, p, workspace_))
       out.push_back(input.rasterizer->to_native(b));
   }
   previous_ = frame;

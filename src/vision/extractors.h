@@ -54,6 +54,8 @@ class GmmRoiExtractor final : public RoiExtractor {
  private:
   GmmBackgroundSubtractor subtractor_;
   ComponentParams components_;
+  video::Mask foreground_;    // per-frame scratch, reused
+  BlobWorkspace workspace_;
 };
 
 // --- Optical flow (Farneback stand-in) --------------------------------------
@@ -78,6 +80,8 @@ class OpticalFlowExtractor final : public RoiExtractor {
   ComponentParams components_;
   video::Image previous_;
   bool has_previous_ = false;
+  video::Mask motion_;        // per-frame scratch, reused
+  BlobWorkspace workspace_;
 };
 
 // --- Simulated lightweight learned detectors --------------------------------

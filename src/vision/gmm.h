@@ -36,6 +36,8 @@ class GmmBackgroundSubtractor {
   // Update the model with `frame` and return its foreground mask
   // (255 = foreground, 0 = background).
   [[nodiscard]] video::Mask apply(const video::Image& frame);
+  // Same, writing into `fg` (resized to the frame, reusing its storage).
+  void apply(const video::Image& frame, video::Mask& fg);
 
   [[nodiscard]] const GmmParams& params() const { return params_; }
   [[nodiscard]] common::Size frame_size() const { return size_; }
@@ -48,8 +50,13 @@ class GmmBackgroundSubtractor {
     float variance;
   };
 
-  // Classify + update a single pixel; returns true if foreground.
-  bool process_pixel(std::size_t px, double value);
+  struct Kernel;
+
+  // Classify + update every pixel of one frame.  kK > 0 fixes K at compile
+  // time (the default K = 3); kK == 0 reads it from params_ (K in 1..8).
+  template <int kK>
+  void update_frame(const Kernel& kernel, const std::uint8_t* src,
+                    std::uint8_t* dst);
 
   common::Size size_;
   GmmParams params_;
